@@ -8,14 +8,14 @@
 //!
 //! Backends:
 //!
-//! * [`CountingBackend::HashTree`] — the classic hash tree (default; best
-//!   for large candidate sets),
+//! * [`CountingBackend::HashTree`] — the classic hash tree,
 //! * [`CountingBackend::SubsetHashMap`] — a hash map keyed by candidate,
 //!   probed either by enumerating the transaction's k-subsets or by testing
 //!   each candidate, whichever is cheaper per transaction,
-//! * [`CountingBackend::TidBitmap`] — vertical counting: the pass builds
-//!   one packed bitset row per item the candidates mention, then every
-//!   candidate is counted by word-wise AND + popcount (see
+//! * [`CountingBackend::TidBitmap`] — vertical counting (the default; the
+//!   fastest backend at every scale `BENCH_counting.json` records): the
+//!   pass builds one packed bitset row per item the candidates mention,
+//!   then every candidate is counted by word-wise AND + popcount (see
 //!   [`negassoc_txdb::vertical`]; DESIGN.md §14),
 //! * [`crate::count::count_with_tidlists`] — vertical counting against a
 //!   prebuilt [`negassoc_txdb::vertical::TidListIndex`] (no database pass at
@@ -37,12 +37,12 @@ use std::io;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CountingBackend {
     /// Hash tree subset counting (Agrawal & Srikant).
-    #[default]
     HashTree,
     /// Candidate hash map with adaptive probing.
     SubsetHashMap,
     /// Vertical TID-bitmap counting: AND + popcount over per-item bitsets
     /// built during the pass.
+    #[default]
     TidBitmap,
 }
 

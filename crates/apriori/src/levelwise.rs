@@ -101,6 +101,8 @@ pub struct GenLevelMiner<'a, S: TransactionSource + ?Sized> {
     done: bool,
     candidate_cap: Option<usize>,
     pass_stats: Vec<PassStats>,
+    /// The number the next counting pass is traced and reported under.
+    next_pass: u64,
     ctrl: Option<&'a CancelToken>,
     obs: Obs,
 }
@@ -214,6 +216,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             done,
             candidate_cap: None,
             pass_stats,
+            next_pass: 2,
             ctrl,
             obs,
         })
@@ -269,11 +272,19 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
     }
 
     /// Telemetry for every counting pass this miner has made so far, in
-    /// execution order. Pass numbers are local to this miner instance
-    /// (a resumed miner starts again at 1 — it makes no level-1 pass, so
-    /// its first entry is whatever level it counts first).
+    /// execution order. Pass numbers count this miner's passes from 1 (a
+    /// resumed miner starts again at 1 — it makes no level-1 pass, so its
+    /// first entry is whatever level it counts first), plus the passes a
+    /// driver reported through [`Self::advance_pass_numbers`].
     pub fn pass_stats(&self) -> &[PassStats] {
         &self.pass_stats
+    }
+
+    /// Account for `passes` counting passes the driver made between this
+    /// miner's levels (the naive algorithm's per-level negative passes), so
+    /// the next level's pass number continues the run's sequence.
+    pub fn advance_pass_numbers(&mut self, passes: u64) {
+        self.next_pass += passes;
     }
 
     /// Drain the collected pass telemetry, leaving the miner's log empty.
@@ -335,6 +346,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             done: state.done,
             candidate_cap: None,
             pass_stats: Vec::new(),
+            next_pass: 1,
             ctrl: None,
             obs: Obs::disabled(),
         }
@@ -411,7 +423,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
             }
         };
         let stats = PassStats {
-            pass: self.pass_stats.len() as u64 + 1,
+            pass: self.next_pass,
             label: format!("L{k}"),
             candidates: run.counts.len(),
             transactions: run.transactions,
@@ -425,6 +437,7 @@ impl<'a, S: TransactionSource + ?Sized> GenLevelMiner<'a, S> {
         self.obs
             .gauge(metric::LAST_PASS_CANDIDATES, stats.candidates as u64);
         self.pass_stats.push(stats);
+        self.next_pass += 1;
         self.frontier.clear();
         for (set, count) in run.counts {
             if count >= self.minsup {

@@ -11,16 +11,17 @@
 //! `counting` (sequential-vs-threaded pass timings, written to
 //! `BENCH_counting.json`), `ctrl` (cancel-token overhead, written to
 //! `BENCH_ctrl.json`), `obs` (trace-emission overhead with a no-op
-//! sink, written to `BENCH_obs.json`), and `serve` (rule-serving
+//! sink, written to `BENCH_obs.json`), `serve` (rule-serving
 //! throughput with oracle and hot-swap checks, written to
-//! `BENCH_serve.json`).
+//! `BENCH_serve.json`), and `candgen` (negative-candidate generation
+//! counters and wall, written to `BENCH_candgen.json`).
 //! `--scale N` runs on N transactions instead of the full 50,000 (the
 //! qualitative shapes survive scaling; the full size takes minutes).
 
 use negassoc_bench::{
-    counting_scale, ctrl_bench, fig7_series, itemset_counts, obs_bench, secs, serve_bench,
-    sharded_counting_bench, short_dataset, tall_dataset, CountingBench, FIG56_SUPPORTS_PCT,
-    FIG7_SUPPORT_PCT,
+    candgen_bench, counting_scale, ctrl_bench, fig7_series, itemset_counts, obs_bench, secs,
+    serve_bench, sharded_counting_bench, short_dataset, tall_dataset, CountingBench,
+    FIG56_SUPPORTS_PCT, FIG7_SUPPORT_PCT,
 };
 use std::process::ExitCode;
 
@@ -93,6 +94,12 @@ fn main() -> ExitCode {
                 return ExitCode::from(1);
             }
         }
+        "candgen" => {
+            if let Err(e) = candgen(scale) {
+                eprintln!("candgen bench: {e}");
+                return ExitCode::from(1);
+            }
+        }
         "all" => {
             params();
             tables();
@@ -104,7 +111,7 @@ fn main() -> ExitCode {
         other => {
             eprintln!(
                 "unknown command {other:?} \
-                 (params|tables|counts|fig5|fig6|fig7|counting|ctrl|obs|serve|all)"
+                 (params|tables|counts|fig5|fig6|fig7|counting|ctrl|obs|serve|candgen|all)"
             );
             return ExitCode::from(2);
         }
@@ -482,5 +489,28 @@ fn serve(scale: Option<usize>) -> std::io::Result<()> {
     );
     std::fs::write("BENCH_serve.json", bench.to_json())?;
     println!("wrote BENCH_serve.json");
+    Ok(())
+}
+
+/// The negative-candidate generation benchmark: the candgen input (the
+/// "Short" preset, 4,000 transactions, generator seed 7) mined once for
+/// its counters, then candidate generation replayed and timed; written to
+/// `BENCH_candgen.json` beside the full enumeration's figures.
+fn candgen(scale: Option<usize>) -> std::io::Result<()> {
+    let transactions = scale.unwrap_or(4_000);
+    let bench = candgen_bench(transactions, 7);
+    let (enumerated, kept, negatives, candgen_s) = negassoc_bench::CANDGEN_BEFORE;
+    println!("== negative-candidate generation: expectation-bounded enumeration ==");
+    println!(
+        "{} transactions: {} enumerated, {} cut by the bound, {} kept, {} negatives",
+        bench.transactions, bench.enumerated, bench.pruned, bench.kept, bench.negatives
+    );
+    println!(
+        "candidate generation {:.4}s (median of {}); full enumeration: \
+         {enumerated} enumerated, {kept} kept, {negatives} negatives, {candgen_s:.3}s",
+        bench.candgen_s, bench.repetitions
+    );
+    std::fs::write("BENCH_candgen.json", bench.to_json())?;
+    println!("wrote BENCH_candgen.json");
     Ok(())
 }

@@ -1090,6 +1090,153 @@ pub fn serve_bench(transactions: usize, queries: usize, min_support: f64) -> Ser
     }
 }
 
+/// The negative-candidate generation benchmark (`paper candgen`, written
+/// to `BENCH_candgen.json`): the "Short" preset at 4,000 transactions with
+/// 2,000 clusters and generator seed 7 (what `negrules generate --preset
+/// short --transactions 4000 --seed 7` writes), mined at MinSup 1.5%,
+/// MinRI 0.5 and negative itemsets up to size 3.
+///
+/// It records how many substitution combinations reached the admission
+/// checks (`enumerated`), how many the expectation bound cut unassembled
+/// (`pruned`), the candidates kept and the negatives confirmed, beside the
+/// same figures of the full enumeration ([`CANDGEN_BEFORE`]). `bench.sh`
+/// gates the answer (kept and negatives unchanged, every combination
+/// accounted for) and the enumeration (at least 10× below the full one).
+#[derive(Clone, Debug)]
+pub struct CandgenBench {
+    /// Transactions in the mined dataset.
+    pub transactions: usize,
+    /// Combinations that reached the admission checks.
+    pub enumerated: u64,
+    /// Combinations the expectation bound cut.
+    pub pruned: u64,
+    /// Distinct candidates kept.
+    pub kept: u64,
+    /// Confirmed negative itemsets.
+    pub negatives: usize,
+    /// Timed candidate-generation replays.
+    pub repetitions: usize,
+    /// Median wall seconds of one candidate generation (generator built,
+    /// every level extended, candidates collected), replayed over the
+    /// mine's large itemsets and compressed taxonomy.
+    pub candgen_s: f64,
+}
+
+/// The candgen input's generator seed.
+const CANDGEN_SEED: u64 = 7;
+/// The candgen mine's MinSup.
+const CANDGEN_MIN_SUPPORT: f64 = 0.015;
+/// The candgen mine's largest negative itemset.
+const CANDGEN_MAX_SIZE: usize = 3;
+
+/// The candgen input's figures before the expectation bound existed:
+/// `(enumerated, kept, negatives, candgen_s)`. Every combination was
+/// assembled then. The wall times that generator the way
+/// [`candgen_bench`] times this one, built with the workspace's release
+/// profile on a 2-CPU x86-64 VM: the median of 7 runs of 7 replays each
+/// (the runs' medians spread from 0.57 to 0.82 s).
+pub const CANDGEN_BEFORE: (u64, u64, usize, f64) = (2_975_305, 4_803, 161, 0.72);
+
+impl CandgenBench {
+    /// Render as a JSON document; floats route through [`json_num`].
+    pub fn to_json(&self) -> String {
+        let (enumerated, kept, negatives, candgen_s) = CANDGEN_BEFORE;
+        let mut out = String::from("{\n");
+        out.push_str(&format!("  \"transactions\": {},\n", self.transactions));
+        out.push_str(&format!("  \"generator_seed\": {CANDGEN_SEED},\n"));
+        out.push_str(&format!(
+            "  \"min_support\": {},\n",
+            json_num(CANDGEN_MIN_SUPPORT, 3)
+        ));
+        out.push_str(&format!("  \"min_ri\": {},\n", json_num(PAPER_MIN_RI, 2)));
+        out.push_str(&format!("  \"max_size\": {CANDGEN_MAX_SIZE},\n"));
+        out.push_str(&format!("  \"enumerated\": {},\n", self.enumerated));
+        out.push_str(&format!("  \"pruned\": {},\n", self.pruned));
+        out.push_str(&format!("  \"kept\": {},\n", self.kept));
+        out.push_str(&format!("  \"negatives\": {},\n", self.negatives));
+        out.push_str(&format!("  \"repetitions\": {},\n", self.repetitions));
+        out.push_str(&format!(
+            "  \"candgen_s\": {},\n",
+            json_num(self.candgen_s, 6)
+        ));
+        out.push_str(&format!(
+            "  \"before\": {{\"enumerated\": {enumerated}, \"kept\": {kept}, \
+             \"negatives\": {negatives}, \"candgen_s\": {}}}\n",
+            json_num(candgen_s, 3)
+        ));
+        out.push_str("}\n");
+        out
+    }
+}
+
+/// Run the candidate-generation benchmark on `transactions` transactions
+/// of the candgen input (see [`CandgenBench`]): one full mine for the
+/// counters and the negatives, then `repetitions` timed replays of the
+/// candidate generation alone.
+pub fn candgen_bench(transactions: usize, repetitions: usize) -> CandgenBench {
+    use negassoc_taxonomy::fxhash::FxHashSet;
+    use negassoc_taxonomy::textfmt::{read_taxonomy, write_taxonomy};
+    use negassoc_taxonomy::{FilteredTaxonomy, ItemId};
+
+    let ds = generate(&GenParams {
+        num_transactions: transactions,
+        seed: CANDGEN_SEED,
+        ..presets::short()
+    });
+    // Mine what `negrules generate` writes: the taxonomy file lists items
+    // depth first and reading it numbers them in that order, while the
+    // transactions keep their ids.
+    let mut text = Vec::new();
+    write_taxonomy(&ds.taxonomy, &mut text).expect("taxonomy to memory");
+    let tax = read_taxonomy(text.as_slice()).expect("taxonomy from memory");
+    let outcome = NegativeMiner::new(MinerConfig {
+        min_support: MinSupport::Fraction(CANDGEN_MIN_SUPPORT),
+        min_ri: PAPER_MIN_RI,
+        driver: Driver::Improved,
+        max_negative_size: Some(CANDGEN_MAX_SIZE),
+        ..MinerConfig::default()
+    })
+    .mine(&ds.db, &tax)
+    .expect("candgen mine");
+    let large = &outcome.large;
+    let keep: FxHashSet<ItemId> = tax
+        .items()
+        .filter(|&i| large.support_of(&[i]).is_some())
+        .collect();
+    let filtered = FilteredTaxonomy::new(&tax, &keep);
+    let mut walls = Vec::with_capacity(repetitions);
+    for _ in 0..repetitions {
+        let start = std::time::Instant::now();
+        let generator = CandidateGenerator::with_compressed(&filtered, large, PAPER_MIN_RI);
+        let mut set = CandidateSet::new();
+        for k in 2..=CANDGEN_MAX_SIZE.min(large.max_level()) {
+            generator
+                .extend_from_level(k, &mut set)
+                .expect("candidate generation");
+        }
+        let (_, stats) = set.into_candidates();
+        walls.push(start.elapsed().as_secs_f64());
+        assert_eq!(
+            (stats.generated, stats.unique),
+            (
+                outcome.report.candidates.generated,
+                outcome.report.candidates.unique
+            ),
+            "the replay diverged from the mine"
+        );
+    }
+    let stats = &outcome.report.candidates;
+    CandgenBench {
+        transactions,
+        enumerated: stats.generated,
+        pruned: stats.pruned,
+        kept: stats.unique,
+        negatives: outcome.negatives.len(),
+        repetitions,
+        candgen_s: median(&walls),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1113,6 +1260,27 @@ mod tests {
             assert!(*k >= 2);
             assert!(*large > 0);
             assert!((*norm - *cands as f64 / *large as f64).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn candgen_bench_records_its_counters() {
+        let b = candgen_bench(300, 1);
+        assert_eq!(b.transactions, 300);
+        assert!(b.kept <= b.enumerated);
+        let json = b.to_json();
+        assert!(
+            json.contains(&format!("\"pruned\": {},", b.pruned)),
+            "{json}"
+        );
+        for key in [
+            "\"enumerated\"",
+            "\"pruned\"",
+            "\"kept\"",
+            "\"negatives\"",
+            "\"before\"",
+        ] {
+            assert!(json.contains(key), "{key} missing from {json}");
         }
     }
 

@@ -49,11 +49,12 @@ pub(crate) fn parse_parallelism(opts: &Opts) -> Result<Parallelism, String> {
 }
 
 /// Resolve `--backend flat|hashtree|bitmap` into a [`CountingBackend`].
-/// Absent means the hash-tree default; every backend produces the same
-/// counts, only wall time and memory differ.
+/// Absent means [`CountingBackend::default`]; every backend produces the
+/// same counts, only wall time and memory differ.
 pub(crate) fn parse_backend(opts: &Opts) -> Result<CountingBackend, String> {
     match opts.get("backend") {
-        None | Some("hashtree") => Ok(CountingBackend::HashTree),
+        None => Ok(CountingBackend::default()),
+        Some("hashtree") => Ok(CountingBackend::HashTree),
         Some("flat") => Ok(CountingBackend::SubsetHashMap),
         Some("bitmap") => Ok(CountingBackend::TidBitmap),
         Some(v) => Err(format!(

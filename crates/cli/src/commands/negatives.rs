@@ -271,8 +271,12 @@ pub(crate) fn run(args: Vec<String>) -> Result<(), CliError> {
         println!("completeness: {c}");
     }
     println!(
-        "large itemsets: {}   negative candidates: {} (of {} generated)   negative itemsets: {}",
-        rep.large_itemsets, rep.candidates.unique, rep.candidates.generated, rep.negative_itemsets
+        "large itemsets: {}   negative candidates: {} ({} enumerated, {} cut by the expectation bound)   negative itemsets: {}",
+        rep.large_itemsets,
+        rep.candidates.unique,
+        rep.candidates.generated,
+        rep.candidates.pruned,
+        rep.negative_itemsets
     );
     if opts.flag("pass-stats") {
         print_pass_stats(&rep.pass_stats);

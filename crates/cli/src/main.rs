@@ -45,6 +45,7 @@ const USAGE: &str =
              [--min-conf F=0.6] [--top N=20]
              [--algorithm basic|cumulate|estmerge|partition]
              [--partitions N=4] [--r-interest R] [--threads N|auto]
+             [--backend flat|hashtree|bitmap=bitmap]
              [--salvage] [--audit]
   negatives  strong negative association rules (Savasere et al., ICDE '98)
              --data PATH | --manifest PATH --taxonomy PATH [--min-support F=0.01]
@@ -52,6 +53,9 @@ const USAGE: &str =
              [--algorithm basic|cumulate|estmerge] [--max-size K]
              [--cap N] [--top N=20] [--out rules.csv] [--no-compress]
              [--threads N|auto]      (worker threads per counting pass)
+             [--backend flat|hashtree|bitmap=bitmap]
+                                     (support-counting strategy; every
+                                      backend gives identical output)
              [--pass-stats]          (per-pass counting telemetry table;
                                       on an interrupted run only completed
                                       passes are shown, flagged as partial)

@@ -14,6 +14,13 @@
 //! options. The excluded shapes (§2.1.1: all-siblings, ancestors, mixed
 //! children+siblings) never arise by construction.
 //!
+//! Most combinations fall far below the admission threshold, so the
+//! products are walked depth first with each position's options sorted by
+//! descending support: a position's options are abandoned as soon as the
+//! best completion of the current one cannot reach `MinSup · MinRI`. The
+//! cut skips only combinations check 3 below would reject, so the
+//! candidates are exactly those of the full enumeration.
+//!
 //! A candidate is admitted only when (checked in this order):
 //!
 //! 1. its items are distinct and contain no ancestor/descendant pair,
@@ -27,12 +34,13 @@
 //! different expectations; the **largest** expected support wins (§2.1.1).
 
 use crate::error::NegAssocError;
-use crate::expected::{candidate_threshold, expected_support, Ratio};
+use crate::expected::{approx_ge, candidate_threshold, expected_support, support_to_f64, Ratio};
 use crate::substitutes::SubstituteKnowledge;
 use negassoc_apriori::generalized::AncestorTable;
 use negassoc_apriori::{Itemset, LargeItemsets};
 use negassoc_taxonomy::fxhash::FxHashMap;
 use negassoc_taxonomy::{FilteredTaxonomy, ItemId, Taxonomy};
+use std::cmp::Reverse;
 
 /// Which of the paper's generation cases produced a candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,12 +97,18 @@ pub struct NegativeItemset {
 pub struct CandidateStats {
     /// Large itemsets that seeded generation.
     pub seeds: u64,
-    /// Raw substitution combinations produced.
+    /// Substitution combinations that reached the admission checks.
     pub generated: u64,
+    /// Substitution combinations skipped without being assembled: the
+    /// expectation bound ruled out every one of them (see
+    /// `CandidateGenerator::emit_products`). Each combination the seeds
+    /// define is counted once, in `generated` or here.
+    pub pruned: u64,
     /// Rejected: duplicate members or ancestor/descendant pair.
     pub rejected_related: u64,
-    /// Rejected: some 1-item not large (only possible without taxonomy
-    /// compression).
+    /// Rejected: some 1-item not large. Only possible when a retained item
+    /// is not large; such an item's ratio counts as 0, so unless the
+    /// threshold is (near) zero the bound cuts these into `pruned`.
     pub rejected_small_item: u64,
     /// Rejected: expected support below `MinSup · MinRI`.
     pub rejected_low_expected: u64,
@@ -159,95 +173,154 @@ impl Default for CandidateSet {
 }
 
 /// Generates negative candidates from large itemsets and a taxonomy.
+///
+/// The option lists are built once per generator, not once per seed: every
+/// item's retained children, sorted by descending 1-item support, in one
+/// flat table. An item's siblings are its parent's list minus the item
+/// itself, so they share that order.
 pub struct CandidateGenerator<'a> {
     tax: &'a Taxonomy,
-    /// When present, children/sibling options come pre-filtered to large
-    /// items (the improved algorithm compresses the taxonomy, §2.2.2).
-    filtered: Option<&'a FilteredTaxonomy<'a>>,
     ancestors: AncestorTable,
     large: &'a LargeItemsets,
     threshold: f64,
-    substitutes: Option<&'a SubstituteKnowledge>,
+    /// 1-item support per item index; `None` when the item is not large.
+    support: Vec<Option<u64>>,
+    /// Per item index: the item survives the filter (in the compressed
+    /// taxonomy when one is given, large otherwise).
+    retained: Vec<bool>,
+    /// Item `i`'s retained children are `kids[kid_start[i]..kid_start[i + 1]]`,
+    /// by descending support (ties keep taxonomy order).
+    kid_start: Vec<usize>,
+    kids: Vec<ItemId>,
+    /// Per item index: its position in its parent's child list, when
+    /// retained.
+    rank: Vec<Option<usize>>,
+    /// Sibling lists of items with declared substitutes (§4.1), merged with
+    /// their taxonomy siblings and sorted by descending support.
+    substitute_siblings: FxHashMap<ItemId, Vec<ItemId>>,
 }
 
 impl<'a> CandidateGenerator<'a> {
-    /// A generator that checks 1-item largeness per candidate (the naive
-    /// algorithm's behaviour).
+    /// A generator over the full taxonomy whose options are its large
+    /// items (the naive algorithm's behaviour).
     pub fn new(tax: &'a Taxonomy, large: &'a LargeItemsets, min_ri: f64) -> Self {
-        Self {
-            tax,
-            filtered: None,
-            ancestors: AncestorTable::new(tax),
-            large,
-            threshold: candidate_threshold(large.min_support_count(), min_ri),
-            substitutes: None,
-        }
+        Self::with_filter(tax, None, large, min_ri)
     }
 
-    /// A generator over a compressed taxonomy (every retained item is
-    /// large), skipping the per-candidate 1-item check.
+    /// A generator over a compressed taxonomy (§2.2.2): its options are
+    /// the retained items.
     pub fn with_compressed(
         filtered: &'a FilteredTaxonomy<'a>,
         large: &'a LargeItemsets,
         min_ri: f64,
     ) -> Self {
+        Self::with_filter(filtered.base(), Some(filtered), large, min_ri)
+    }
+
+    fn with_filter(
+        tax: &'a Taxonomy,
+        filtered: Option<&FilteredTaxonomy<'_>>,
+        large: &'a LargeItemsets,
+        min_ri: f64,
+    ) -> Self {
+        let mut support: Vec<Option<u64>> = vec![None; tax.len()];
+        for (set, count) in large.level(1) {
+            if let Some(slot) = set.items().first().and_then(|i| support.get_mut(i.index())) {
+                *slot = Some(count);
+            }
+        }
+        let retained: Vec<bool> = match filtered {
+            Some(f) => tax.items().map(|i| f.contains(i)).collect(),
+            None => support.iter().map(Option::is_some).collect(),
+        };
+        let mut kid_start = Vec::with_capacity(tax.len() + 1);
+        let mut kids = Vec::new();
+        let mut rank = vec![None; tax.len()];
+        for item in tax.items() {
+            let from = kids.len();
+            kid_start.push(from);
+            kids.extend(
+                tax.children(item)
+                    .iter()
+                    .copied()
+                    .filter(|c| retained[c.index()]),
+            );
+            kids[from..].sort_by_key(|c| Reverse(support[c.index()]));
+            for (r, c) in kids[from..].iter().enumerate() {
+                rank[c.index()] = Some(r);
+            }
+        }
+        kid_start.push(kids.len());
         Self {
-            tax: filtered.base(),
-            filtered: Some(filtered),
-            ancestors: AncestorTable::new(filtered.base()),
+            tax,
+            ancestors: AncestorTable::new(tax),
             large,
             threshold: candidate_threshold(large.min_support_count(), min_ri),
-            substitutes: None,
+            support,
+            retained,
+            kid_start,
+            kids,
+            rank,
+            substitute_siblings: FxHashMap::default(),
         }
     }
 
     /// Attach explicit substitute-item knowledge (§4.1 extension): members
     /// of a substitute group act as additional "siblings" in Case 3.
-    pub fn with_substitutes(mut self, subs: &'a SubstituteKnowledge) -> Self {
-        self.substitutes = Some(subs);
+    pub fn with_substitutes(mut self, subs: &SubstituteKnowledge) -> Self {
+        let mut merged = FxHashMap::default();
+        for item in self.tax.items() {
+            if subs.substitutes_of(item).next().is_none() {
+                continue;
+            }
+            let (kin, skip) = self.taxonomy_siblings(item);
+            let mut list: Vec<ItemId> = kin
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| Some(i) != skip)
+                .map(|(_, &s)| s)
+                .collect();
+            for s in subs.substitutes_of(item) {
+                if self.is_retained(s) && !list.contains(&s) {
+                    list.push(s);
+                }
+            }
+            list.sort_by_key(|&s| Reverse(self.support_1(s)));
+            merged.insert(item, list);
+        }
+        self.substitute_siblings = merged;
         self
     }
 
     fn support_1(&self, item: ItemId) -> Option<u64> {
-        self.large.support_of(&[item])
+        self.support.get(item.index()).copied().flatten()
     }
 
     fn is_retained(&self, item: ItemId) -> bool {
-        match self.filtered {
-            Some(f) => f.contains(item),
-            None => self.support_1(item).is_some(),
+        self.retained.get(item.index()).copied().unwrap_or(false)
+    }
+
+    /// Retained children of `item`, by descending support.
+    fn children_of(&self, item: ItemId) -> &[ItemId] {
+        let i = item.index();
+        &self.kids[self.kid_start[i]..self.kid_start[i + 1]]
+    }
+
+    /// The parent's child list and the position of `item` in it (the one
+    /// entry that is not a sibling).
+    fn taxonomy_siblings(&self, item: ItemId) -> (&[ItemId], Option<usize>) {
+        match self.tax.parent(item) {
+            Some(p) => (self.children_of(p), self.rank[item.index()]),
+            None => (&[], None),
         }
     }
 
-    /// Large children of `item`.
-    fn child_options(&self, item: ItemId, out: &mut Vec<ItemId>) {
-        out.clear();
-        match self.filtered {
-            Some(f) => out.extend_from_slice(f.children(item)),
-            None => out.extend(
-                self.tax
-                    .children(item)
-                    .iter()
-                    .copied()
-                    .filter(|&c| self.is_retained(c)),
-            ),
-        }
-    }
-
-    /// Large siblings of `item`, plus substitute-group members when
-    /// configured.
-    fn sibling_options(&self, item: ItemId, out: &mut Vec<ItemId>) {
-        out.clear();
-        match self.filtered {
-            Some(f) => out.extend(f.siblings(item)),
-            None => out.extend(self.tax.siblings(item).filter(|&s| self.is_retained(s))),
-        }
-        if let Some(subs) = self.substitutes {
-            for s in subs.substitutes_of(item) {
-                if s != item && self.is_retained(s) && !out.contains(&s) {
-                    out.push(s);
-                }
-            }
+    /// Retained siblings of `item` (plus substitute-group members when
+    /// configured), as a list and the position to skip in it.
+    fn siblings_of(&self, item: ItemId) -> (&[ItemId], Option<usize>) {
+        match self.substitute_siblings.get(&item) {
+            Some(list) => (list, None),
+            None => self.taxonomy_siblings(item),
         }
     }
 
@@ -280,122 +353,159 @@ impl<'a> CandidateGenerator<'a> {
         let k = itemset.len();
         debug_assert!(k >= 2, "negative candidates need seeds of size >= 2");
         let full_mask: u32 = (1 << k) - 1;
-        let mut options: Vec<Vec<ItemId>> = Vec::with_capacity(k);
+        let mut slots: Vec<Slot<'_>> = Vec::with_capacity(k);
+        let mut walk = Walk {
+            seed: itemset,
+            support,
+            case: DerivationCase::AllChildren,
+            tail: Vec::with_capacity(k + 1),
+            items: itemset.items().to_vec(),
+            ratios: Vec::with_capacity(k),
+        };
         for mask in 1..=full_mask {
             // Children substitutions: any nonempty mask (cases 1 & 2).
-            if self.collect_options(itemset, mask, &mut options, OptionKind::Children) {
-                let case = if mask == full_mask {
+            if self.collect_slots(itemset, mask, &mut slots, OptionKind::Children) {
+                walk.case = if mask == full_mask {
                     DerivationCase::AllChildren
                 } else {
                     DerivationCase::SomeChildren
                 };
-                self.emit_products(itemset, support, mask, &options, case, set)?;
+                self.emit_products(&mut walk, &slots, set)?;
             }
             // Sibling substitutions: proper nonempty masks only (case 3).
             if mask != full_mask
-                && self.collect_options(itemset, mask, &mut options, OptionKind::Siblings)
+                && self.collect_slots(itemset, mask, &mut slots, OptionKind::Siblings)
             {
-                self.emit_products(
-                    itemset,
-                    support,
-                    mask,
-                    &options,
-                    DerivationCase::Siblings,
-                    set,
-                )?;
+                walk.case = DerivationCase::Siblings;
+                self.emit_products(&mut walk, &slots, set)?;
             }
         }
         Ok(())
     }
 
-    /// Fill `options[j]` for each masked position; `false` when some masked
+    /// Fill one [`Slot`] per masked position; `false` when some masked
     /// position has no option (no product exists).
-    fn collect_options(
-        &self,
+    fn collect_slots<'g>(
+        &'g self,
         itemset: &Itemset,
         mask: u32,
-        options: &mut Vec<Vec<ItemId>>,
+        slots: &mut Vec<Slot<'g>>,
         kind: OptionKind,
     ) -> bool {
-        options.clear();
+        slots.clear();
         for (pos, &member) in itemset.items().iter().enumerate() {
             if mask & (1 << pos) == 0 {
                 continue;
             }
-            let mut opts = Vec::new();
-            match kind {
-                OptionKind::Children => self.child_options(member, &mut opts),
-                OptionKind::Siblings => self.sibling_options(member, &mut opts),
-            }
-            if opts.is_empty() {
+            let (opts, skip) = match kind {
+                OptionKind::Children => (self.children_of(member), None),
+                OptionKind::Siblings => self.siblings_of(member),
+            };
+            let base = self.support_1(member);
+            let Some((_, &best)) = opts.iter().enumerate().find(|&(i, _)| Some(i) != skip) else {
                 return false;
-            }
-            options.push(opts);
+            };
+            slots.push(Slot {
+                pos,
+                base,
+                opts,
+                skip,
+                max_ratio: ratio(self.support_1(best), base),
+            });
         }
         true
     }
 
-    /// Emit every combination of the masked positions' options.
-    #[allow(clippy::too_many_arguments)]
+    /// Emit every combination of the slots' options whose expected support
+    /// can still reach the threshold.
+    ///
+    /// The walk is depth-first in slot order and carries the partial
+    /// product `sup(seed) · Π ratio`, multiplied left to right exactly as
+    /// [`expected_support`] does. Before descending it bounds every
+    /// completion by multiplying, again left to right, the remaining slots'
+    /// largest ratios. Float multiplication of non-negative values is
+    /// monotone, so no completion's `E` exceeds that bound; and options are
+    /// sorted by descending ratio, so once the bound misses the threshold
+    /// every later option of the slot misses it too. The cut is exact:
+    /// only combinations the admission test would reject are skipped, and
+    /// they are counted in [`CandidateStats::pruned`].
     fn emit_products(
         &self,
-        itemset: &Itemset,
-        support: u64,
-        mask: u32,
-        options: &[Vec<ItemId>],
-        case: DerivationCase,
+        walk: &mut Walk<'_>,
+        slots: &[Slot<'_>],
         set: &mut CandidateSet,
     ) -> Result<(), NegAssocError> {
-        let masked_positions: Vec<usize> = (0..itemset.len())
-            .filter(|&p| mask & (1 << p) != 0)
-            .collect();
-        debug_assert_eq!(masked_positions.len(), options.len());
-        let mut choice = vec![0usize; options.len()];
-        let mut items: Vec<ItemId> = Vec::with_capacity(itemset.len());
-        let mut ratios: Vec<Ratio> = Vec::with_capacity(options.len());
-        loop {
-            // Assemble the candidate for the current choice vector.
-            items.clear();
-            items.extend_from_slice(itemset.items());
-            ratios.clear();
-            let mut valid = true;
-            for (slot, (&pos, opts)) in masked_positions.iter().zip(options).enumerate() {
-                let replacement = opts[choice[slot]];
-                let member = itemset.items()[pos];
-                items[pos] = replacement;
-                // Supports of the replacement and the replaced member; both
-                // are large items, so the lookups succeed.
-                match (self.support_1(replacement), self.support_1(member)) {
-                    (Some(new_support), Some(base_support)) => ratios.push(Ratio {
-                        new_support,
-                        base_support,
-                    }),
-                    _ => {
-                        valid = false;
-                        break;
-                    }
-                }
+        walk.tail.clear();
+        walk.tail.resize(slots.len() + 1, 1);
+        for (j, s) in slots.iter().enumerate().rev() {
+            walk.tail[j] = walk.tail[j + 1].saturating_mul(s.options());
+        }
+        walk.items.copy_from_slice(walk.seed.items());
+        let start = support_to_f64(walk.support);
+        self.descend(walk, slots, 0, start, set)
+    }
+
+    fn descend(
+        &self,
+        walk: &mut Walk<'_>,
+        slots: &[Slot<'_>],
+        j: usize,
+        partial: f64,
+        set: &mut CandidateSet,
+    ) -> Result<(), NegAssocError> {
+        let Some(slot) = slots.get(j) else {
+            return self.admit_walk(walk, slots, set);
+        };
+        for (i, &item) in slot.opts.iter().enumerate() {
+            if Some(i) == slot.skip {
+                continue;
             }
-            set.stats.generated += 1;
-            if !valid {
-                set.stats.rejected_small_item += 1;
-            } else {
-                self.admit(&items, itemset, support, &ratios, case, set)?;
+            let here = partial * ratio(self.support_1(item), slot.base);
+            let bound = slots[j + 1..].iter().fold(here, |b, s| b * s.max_ratio);
+            // A NaN bound (a zero base support) cuts nothing: such
+            // combinations reach `expected_support`, which reports them.
+            if !bound.is_nan() && !approx_ge(bound, self.threshold) {
+                set.stats.pruned = set
+                    .stats
+                    .pruned
+                    .saturating_add(slot.options_from(i).saturating_mul(walk.tail[j + 1]));
+                break;
             }
-            // Advance the mixed-radix choice counter.
-            let mut slot = options.len();
-            loop {
-                if slot == 0 {
+            walk.items[slot.pos] = item;
+            self.descend(walk, slots, j + 1, here, set)?;
+        }
+        Ok(())
+    }
+
+    /// Check the fully assembled combination in `walk.items`.
+    fn admit_walk(
+        &self,
+        walk: &mut Walk<'_>,
+        slots: &[Slot<'_>],
+        set: &mut CandidateSet,
+    ) -> Result<(), NegAssocError> {
+        set.stats.generated += 1;
+        walk.ratios.clear();
+        for slot in slots {
+            match (self.support_1(walk.items[slot.pos]), slot.base) {
+                (Some(new_support), Some(base_support)) => walk.ratios.push(Ratio {
+                    new_support,
+                    base_support,
+                }),
+                _ => {
+                    set.stats.rejected_small_item += 1;
                     return Ok(());
                 }
-                slot -= 1;
-                choice[slot] += 1;
-                if choice[slot] < options[slot].len() {
-                    break;
-                }
-                choice[slot] = 0;
             }
         }
+        self.admit(
+            &walk.items,
+            walk.seed,
+            walk.support,
+            &walk.ratios,
+            walk.case,
+            set,
+        )
     }
 
     /// Validate one assembled candidate and insert it (max expectation).
@@ -416,7 +526,7 @@ impl<'a> CandidateGenerator<'a> {
         // Ratio bases are supports of large items (positive), so this only
         // errors on a genuine upstream bug — surfaced, not unwrapped.
         let expected = expected_support(support, ratios)?;
-        if !crate::expected::approx_ge(expected, self.threshold) {
+        if !approx_ge(expected, self.threshold) {
             set.stats.rejected_low_expected += 1;
             return Ok(());
         }
@@ -448,6 +558,60 @@ impl<'a> CandidateGenerator<'a> {
 enum OptionKind {
     Children,
     Siblings,
+}
+
+/// One masked position of a seed and the options that may replace its
+/// member.
+struct Slot<'g> {
+    /// Position in the seed.
+    pos: usize,
+    /// Support of the replaced member: every option's ratio base.
+    base: Option<u64>,
+    /// The options by descending support, except `opts[skip]` (the member
+    /// itself, when `opts` is its parent's child list).
+    opts: &'g [ItemId],
+    skip: Option<usize>,
+    /// The first option's ratio, the largest.
+    max_ratio: f64,
+}
+
+impl Slot<'_> {
+    /// Number of options.
+    fn options(&self) -> u64 {
+        self.options_from(0)
+    }
+
+    /// Number of options at index `i` of `opts` or later.
+    fn options_from(&self, i: usize) -> u64 {
+        let skipped = matches!(self.skip, Some(s) if s >= i);
+        (self.opts.len() - i - usize::from(skipped)) as u64
+    }
+}
+
+/// State of one seed's product walks.
+struct Walk<'s> {
+    seed: &'s Itemset,
+    support: u64,
+    case: DerivationCase,
+    /// `tail[j]`: combinations of slot `j` and the slots after it.
+    tail: Vec<u64>,
+    /// The seed's items with the current choices written in.
+    items: Vec<ItemId>,
+    /// The current choices' ratios, filled for each admission check.
+    ratios: Vec<Ratio>,
+}
+
+/// One replacement's factor, as [`expected_support`] multiplies it; 0 when
+/// either item is not large (such a combination is never admitted).
+fn ratio(new: Option<u64>, base: Option<u64>) -> f64 {
+    match (new, base) {
+        (Some(new_support), Some(base_support)) => Ratio {
+            new_support,
+            base_support,
+        }
+        .factor(),
+        _ => 0.0,
+    }
 }
 
 #[cfg(test)]
@@ -600,7 +764,9 @@ mod tests {
         for c in &cands {
             assert!(c.expected >= 400.0);
         }
-        assert!(stats.rejected_low_expected > 0);
+        // Low-expectation combinations are either rejected at admission or
+        // cut before assembly by the expectation bound.
+        assert!(stats.rejected_low_expected + stats.pruned > 0);
         assert!(cands.len() < 11);
     }
 

@@ -37,8 +37,10 @@ use std::path::{Path, PathBuf};
 
 /// Checkpoint file magic: **N**egative **A**ssociation **C**hec**K**point.
 const MAGIC: [u8; 4] = *b"NACK";
-/// Current checkpoint format version.
-const VERSION: u8 = 1;
+/// Current checkpoint format version. Version 2 added
+/// `CandidateStats::pruned` to the negative checkpoint; a file of any other
+/// version is skipped like a damaged one.
+const VERSION: u8 = 2;
 /// Phase tag: positive mining in progress.
 const TAG_POSITIVE: u8 = 1;
 /// Phase tag: positive mining + candidate generation complete.
@@ -164,6 +166,7 @@ impl CheckpointManager {
         for n in [
             ckpt.stats.seeds,
             ckpt.stats.generated,
+            ckpt.stats.pruned,
             ckpt.stats.rejected_related,
             ckpt.stats.rejected_small_item,
             ckpt.stats.rejected_low_expected,
@@ -417,6 +420,7 @@ fn decode_negative(r: &mut &[u8]) -> Option<NegativeCheckpoint> {
     for field in [
         &mut stats.seeds,
         &mut stats.generated,
+        &mut stats.pruned,
         &mut stats.rejected_related,
         &mut stats.rejected_small_item,
         &mut stats.rejected_low_expected,
@@ -625,6 +629,7 @@ mod tests {
             stats: CandidateStats {
                 seeds: 3,
                 generated: 7,
+                pruned: 5,
                 unique: 1,
                 ..CandidateStats::default()
             },

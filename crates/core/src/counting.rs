@@ -20,8 +20,9 @@ use std::time::Instant;
 /// Count all `candidates` (mixed sizes, categories allowed) and keep the
 /// negative ones. Returns the negative itemsets, the number of database
 /// passes made (`ceil(len / cap)`, or 1 without a cap), and one
-/// [`PassStats`] entry per pass (telemetry; pass numbers are local to this
-/// call and renumbered by the driver).
+/// [`PassStats`] entry per pass, numbered from `first_pass` (the run's
+/// number for this call's first pass, so trace events and the driver's
+/// report agree).
 ///
 /// `ctrl` is checked before every chunk pass (and at block boundaries
 /// within it); a cancelled run returns the token's error without any
@@ -37,6 +38,7 @@ pub(crate) fn confirm_negatives<S: TransactionSource + ?Sized>(
     min_support_count: u64,
     min_ri: f64,
     parallelism: Parallelism,
+    first_pass: u64,
     ctrl: Option<&CancelToken>,
     obs: &Obs,
 ) -> Result<(Vec<NegativeItemset>, u64, Vec<PassStats>), Error> {
@@ -79,7 +81,7 @@ pub(crate) fn confirm_negatives<S: TransactionSource + ?Sized>(
             &mut negatives,
         )?;
         let pass_stats = PassStats {
-            pass: passes,
+            pass: first_pass + passes - 1,
             label: "negative".to_string(),
             candidates: chunk_len,
             transactions: run.0,
@@ -205,6 +207,7 @@ mod tests {
             5,
             0.5,
             Parallelism::Sequential,
+            1,
             None,
             &Obs::disabled(),
         )
@@ -237,6 +240,7 @@ mod tests {
             5,
             0.5,
             Parallelism::Threads(2),
+            4,
             None,
             &Obs::disabled(),
         )
@@ -244,6 +248,8 @@ mod tests {
         assert_eq!(passes2, 3);
         assert_eq!(stats2.len(), 3);
         assert!(stats2.iter().all(|s| s.threads == 2 && s.candidates == 1));
+        let numbers: Vec<u64> = stats2.iter().map(|s| s.pass).collect();
+        assert_eq!(numbers, vec![4, 5, 6]);
         assert_eq!(pc.passes(), 3);
         assert_eq!(negs2.len(), 2);
     }
@@ -263,6 +269,7 @@ mod tests {
             1,
             0.5,
             Parallelism::Sequential,
+            1,
             None,
             &Obs::disabled(),
         )

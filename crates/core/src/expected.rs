@@ -76,6 +76,14 @@ pub struct Ratio {
     pub base_support: u64,
 }
 
+impl Ratio {
+    /// `new_support / base_support`, the factor this replacement applies
+    /// to the expectation.
+    pub fn factor(self) -> f64 {
+        support_to_f64(self.new_support) / support_to_f64(self.base_support)
+    }
+}
+
 /// Expected support of a candidate derived from a large itemset with
 /// support `large_support` by applying `replacements`.
 ///
@@ -94,17 +102,16 @@ pub struct Ratio {
 /// assert!((e - 172.8).abs() < 1e-9);
 /// ```
 pub fn expected_support(large_support: u64, replacements: &[Ratio]) -> Result<f64, NegAssocError> {
-    let mut e = large_support as f64;
-    for r in replacements {
-        if r.base_support == 0 {
-            return Err(NegAssocError::Numeric(format!(
-                "expected_support: zero base support scaling new support {} \
-                 (bases must be supports of large items)",
-                r.new_support
-            )));
-        }
-        e *= r.new_support as f64 / r.base_support as f64;
+    if let Some(r) = replacements.iter().find(|r| r.base_support == 0) {
+        return Err(NegAssocError::Numeric(format!(
+            "expected_support: zero base support scaling new support {} \
+             (bases must be supports of large items)",
+            r.new_support
+        )));
     }
+    let e = replacements
+        .iter()
+        .fold(support_to_f64(large_support), |e, r| e * r.factor());
     if !e.is_finite() {
         return Err(NegAssocError::Numeric(format!(
             "expected_support: non-finite expectation from large support \

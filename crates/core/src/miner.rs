@@ -76,10 +76,11 @@ impl std::fmt::Display for MiningReport {
         writeln!(f, "large itemsets: {}", self.large_itemsets)?;
         writeln!(
             f,
-            "negative candidates: {} unique of {} generated \
+            "negative candidates: {} unique of {} enumerated, {} cut by the expectation bound \
              (rejected: {} related, {} low-E, {} already-large; {} merged)",
             self.candidates.unique,
             self.candidates.generated,
+            self.candidates.pruned,
             self.candidates.rejected_related,
             self.candidates.rejected_low_expected,
             self.candidates.rejected_large,

@@ -123,9 +123,11 @@ pub(crate) fn run_naive<S: TransactionSource + ?Sized>(
             miner.large().min_support_count(),
             config.min_ri,
             config.parallelism,
+            pass_stats.len() as u64 + 1,
             ctrl,
             obs,
         )?;
+        miner.advance_pass_numbers(neg_passes);
         passes += neg_passes;
         pass_stats.extend(neg_stats);
         negatives.append(&mut negs);
@@ -148,6 +150,7 @@ pub(crate) fn run_naive<S: TransactionSource + ?Sized>(
 pub(crate) fn merge_stats(into: &mut CandidateStats, from: &CandidateStats) {
     into.seeds += from.seeds;
     into.generated += from.generated;
+    into.pruned += from.pruned;
     into.rejected_related += from.rejected_related;
     into.rejected_small_item += from.rejected_small_item;
     into.rejected_low_expected += from.rejected_low_expected;

@@ -112,4 +112,29 @@ awk -v q="$qps" 'BEGIN { exit !(q >= 10000.0) }' \
   || { echo "bench: serving throughput ${qps} queries/sec < 10k bar" >&2; exit 1; }
 echo "bench: serving throughput ${qps} queries/sec (>= 10k bar)"
 
+echo "==> negative-candidate generation: expectation-bounded enumeration (4,000 transactions)"
+# Fixed input whatever BENCH_SCALE says: the gates below pin its figures.
+./target/release/paper candgen
+
+echo "==> BENCH_candgen.json"
+cargo run -q --release -p xtask -- validate-json BENCH_candgen.json
+grep -E '^  "(enumerated|pruned|kept|negatives|candgen_s)"' BENCH_candgen.json
+candgen_field() { sed -n "s/^  \"$1\": \([0-9.]*\),\{0,1\}$/\1/p" BENCH_candgen.json; }
+enumerated="$(candgen_field enumerated)"
+pruned="$(candgen_field pruned)"
+kept="$(candgen_field kept)"
+negatives="$(candgen_field negatives)"
+# The answer must not move: the bound cuts only combinations the
+# admission test rejects, so the candidates and negatives are those of the
+# full enumeration (2,975,305 combinations, 4,803 kept, 161 negatives),
+# and every one of its combinations is either enumerated or cut.
+[ "$kept" = 4803 ] || { echo "bench: kept $kept candidates, want 4803" >&2; exit 1; }
+[ "$negatives" = 161 ] || { echo "bench: $negatives negatives, want 161" >&2; exit 1; }
+[ "$((enumerated + pruned))" = 2975305 ] \
+  || { echo "bench: $enumerated enumerated + $pruned cut != 2975305 combinations" >&2; exit 1; }
+# The enumeration bar: at least 10x fewer combinations assembled.
+[ "$enumerated" -le 297530 ] \
+  || { echo "bench: $enumerated combinations enumerated > 297530 (10x bar)" >&2; exit 1; }
+echo "bench: $enumerated of 2975305 combinations enumerated, 4803 kept, 161 negatives"
+
 echo "bench: artifacts written"

@@ -148,7 +148,8 @@ echo "smoke: sharded manifest mined; dead shard quarantined with exit 0"
 
 echo "==> backend matrix smoke (flat/hashtree/bitmap byte-identical output)"
 # Counting strategy must never move the answer: every --backend choice,
-# sequential and threaded, reproduces the clean run bytewise.
+# sequential and threaded, reproduces the clean run (default backend:
+# bitmap) bytewise.
 for be in flat hashtree bitmap; do
   "$NEGRULES" negatives --data "$SMOKE/d.nadb" --taxonomy "$SMOKE/t.txt" \
     --min-support 0.05 --max-size 2 --backend "$be" \
@@ -168,6 +169,26 @@ diff "$SMOKE/clean.csv" "$SMOKE/backend-bitmap-t4.csv"
   --out "$SMOKE/backend-bitmap-sharded.csv" > /dev/null
 diff "$SMOKE/sh-whole.csv" "$SMOKE/backend-bitmap-sharded.csv"
 echo "smoke: all backends byte-identical, incl. threaded and sharded bitmap"
+
+echo "==> candidate-generator smoke (uncompressed and naive paths byte-identical)"
+# --no-compress and the naive driver generate candidates without the
+# compressed taxonomy (CandidateGenerator::new, not with_compressed); the
+# expectation-bounded walk must give both the default run's answer, with
+# negative itemsets up to size 2 and 3.
+"$NEGRULES" negatives --data "$SMOKE/d.nadb" --taxonomy "$SMOKE/t.txt" \
+  --min-support 0.05 --max-size 3 --out "$SMOKE/gen3-default.csv" > /dev/null
+for variant in "--no-compress" "--driver naive"; do
+  name="${variant//[ -]/}"
+  # shellcheck disable=SC2086 # "--driver naive" is two arguments
+  "$NEGRULES" negatives --data "$SMOKE/d.nadb" --taxonomy "$SMOKE/t.txt" \
+    --min-support 0.05 --max-size 2 $variant --out "$SMOKE/gen-$name.csv" > /dev/null
+  diff "$SMOKE/clean.csv" "$SMOKE/gen-$name.csv"
+  # shellcheck disable=SC2086
+  "$NEGRULES" negatives --data "$SMOKE/d.nadb" --taxonomy "$SMOKE/t.txt" \
+    --min-support 0.05 --max-size 3 $variant --out "$SMOKE/gen3-$name.csv" > /dev/null
+  diff "$SMOKE/gen3-default.csv" "$SMOKE/gen3-$name.csv"
+done
+echo "smoke: uncompressed and naive generation byte-identical to the default run"
 
 echo "==> serve smoke (snapshot export, server vs offline oracle, SIGINT drain)"
 # Mine a small dataset into a versioned snapshot, serve it, answer a

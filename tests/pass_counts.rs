@@ -4,10 +4,12 @@
 //! extra passes only under the §2.5 memory cap.
 
 use negassoc::config::Driver;
-use negassoc::{MinerConfig, NegativeMiner};
+use negassoc::obs::{Event, Obs, RingBufferSink};
+use negassoc::{MinerConfig, NegativeMiner, RunControl};
 use negassoc_apriori::MinSupport;
 use negassoc_taxonomy::{Taxonomy, TaxonomyBuilder};
 use negassoc_txdb::{PassCounter, TransactionDb, TransactionDbBuilder};
+use std::sync::Arc;
 
 /// Three categories of two brands each; one brand-triple dominates, so
 /// large itemsets reach size 3 and negative candidates exist at sizes 2
@@ -170,4 +172,50 @@ fn file_backed_source_counts_identically() {
     assert_eq!(mem.report.passes, file.report.passes);
     assert_eq!(mem.negatives.len(), file.negatives.len());
     assert_eq!(mem.rules.len(), file.rules.len());
+}
+
+#[test]
+fn traced_pass_numbers_match_the_pass_stats_report() {
+    // The trace and `--pass-stats` must name every pass alike: the
+    // negative passes continue the positive passes' numbering, in both
+    // drivers and when the §2.5 cap splits the negative pass.
+    let (tax, db) = deep_scenario();
+    for config in [
+        config(Driver::Improved),
+        config(Driver::Naive),
+        MinerConfig {
+            max_candidates_per_pass: Some(2),
+            ..config(Driver::Improved)
+        },
+        MinerConfig {
+            max_candidates_per_pass: Some(2),
+            ..config(Driver::Naive)
+        },
+    ] {
+        let ring = Arc::new(RingBufferSink::new(4096));
+        let ctrl = RunControl::new().with_observer(Obs::disabled().with_sink(ring.clone()));
+        let out = NegativeMiner::new(config)
+            .mine_with_controls(&db, &tax, None, None, &ctrl)
+            .unwrap();
+        let traced: Vec<(u64, String)> = ring
+            .snapshot()
+            .iter()
+            .filter_map(|e| match e {
+                Event::PassEnd { stats } => Some((stats.pass, stats.label.clone())),
+                _ => None,
+            })
+            .collect();
+        let reported: Vec<(u64, String)> = out
+            .report
+            .pass_stats
+            .iter()
+            .map(|s| (s.pass, s.label.clone()))
+            .collect();
+        assert!(
+            reported.iter().any(|(_, label)| label == "negative"),
+            "{config:?}: no negative pass reported"
+        );
+        assert_eq!(traced, reported, "{config:?}");
+        assert_eq!(traced.len() as u64, out.report.passes, "{config:?}");
+    }
 }
