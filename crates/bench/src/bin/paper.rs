@@ -483,6 +483,15 @@ fn serve(scale: Option<usize>) -> std::io::Result<()> {
         "batch wall {:.4}s, {:.0} queries/sec, {} answers matched rules",
         bench.wall_s, bench.queries_per_sec, bench.matched_answers
     );
+    let (p50_before, p99_before) = negassoc_bench::ONESHOT_BEFORE;
+    println!(
+        "{} one-shot TCP queries: p50 {:.1} us, p99 {:.1} us (before: p50 {:.1} us, p99 {:.1} us)",
+        negassoc_bench::ONESHOT_QUERIES,
+        bench.oneshot_p50_us,
+        bench.oneshot_p99_us,
+        p50_before,
+        p99_before
+    );
     println!(
         "oracle agreement: {}; hot-swap mid-batch survived: {}",
         bench.oracle_agreement, bench.hot_swap_survived

@@ -17,10 +17,12 @@
 //!   Ships both the indexed matcher and a deliberately independent
 //!   full-scan oracle so CI can diff served answers byte-for-byte.
 //! * [`server`] — dependency-free TCP serving: length-prefixed frames, a
-//!   worker pool on the `txdb::block` spawn discipline (bounded queue,
-//!   `recv_timeout` + token poll, scoped joins), snapshot hot-swap via
-//!   an `Arc` pointer flip, graceful drain on [`CancelToken`], and
-//!   counters/latency histograms through `obs::Metrics`.
+//!   blocking accept loop, a worker pool on the `txdb::block` spawn
+//!   discipline (bounded queue, `recv_timeout` + token poll, scoped
+//!   joins), snapshot hot-swap via an `Arc` pointer flip, graceful drain
+//!   on [`CancelToken`] (a waker connects to the listener to return the
+//!   blocked accept), and counters/latency histograms through
+//!   `obs::Metrics`.
 //!
 //! [`CancelToken`]: negassoc_txdb::ctrl::CancelToken
 

@@ -24,11 +24,14 @@
 //!
 //! # Drain
 //!
-//! Cancelling the token stops the accept loop, lets each worker finish
-//! the request it is executing, and closes connections at the next frame
-//! boundary. Workers are scoped threads joined before [`serve`] returns,
-//! so a returned `serve` means zero worker threads remain — the soak
-//! test pins exactly that.
+//! The accept loop blocks in `accept`, so a connection reaches a worker
+//! as soon as it arrives. A waker thread polls the [`CancelToken`] and,
+//! once it trips, connects to the listener itself: that connection
+//! returns the blocked `accept`, and the loop drops it uncounted and
+//! stops. Workers then finish the request they are executing and close
+//! connections at the next frame boundary. The waker and the workers are
+//! scoped threads joined before [`serve`] returns, so a returned `serve`
+//! means zero threads remain — the soak test pins exactly that.
 
 use crate::engine::answer_basket_line;
 use crate::error::ServeError;
@@ -37,7 +40,8 @@ use negassoc_taxonomy::Taxonomy;
 use negassoc_txdb::ctrl::CancelToken;
 use negassoc_txdb::obs::{MetricId, MetricKind, Obs};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -50,7 +54,8 @@ pub const TAG_SWAP: u8 = b'S';
 pub const TAG_PING: u8 = b'P';
 
 /// How often blocked waits re-check the cancel token (the `txdb::block`
-/// cadence).
+/// cadence). It bounds how late a cancel is seen, never how late a
+/// request is.
 const CTRL_POLL: Duration = Duration::from_millis(20);
 /// Socket read/write timeout, so idle connections poll the token too.
 const IO_POLL: Duration = Duration::from_millis(50);
@@ -58,9 +63,12 @@ const IO_POLL: Duration = Duration::from_millis(50);
 /// before abandoning the connection (~1 s at [`IO_POLL`]); drain must
 /// not hinge on a stalled client.
 const DRAIN_GRACE_POLLS: u32 = 20;
-/// Largest accepted frame; beyond this the peer is not speaking the
-/// protocol.
-const MAX_FRAME: u32 = 1 << 20;
+/// Largest request frame the server accepts; beyond this the peer is not
+/// speaking the protocol.
+const MAX_REQUEST: u32 = 1 << 20;
+/// Largest response frame [`request`] accepts. Answers are far larger
+/// than requests: a category basket can match over ten thousand rules.
+const MAX_RESPONSE: u32 = 64 << 20;
 
 /// The hot-swap cell: an `Arc` pointer flip behind a many-reader lock.
 /// Readers hold the lock only long enough to clone the `Arc`; every
@@ -249,11 +257,14 @@ impl ServeMetrics {
 /// connections out to `workers` pooled threads, answer frames against
 /// `state`, report counters and latency buckets through `obs`.
 ///
-/// The accept loop runs on the calling thread and re-checks the token
-/// every [`CTRL_POLL`]-ish interval (non-blocking accept + sleep);
-/// workers block on the connection queue with `recv_timeout` and poll
-/// the same token. All workers are scoped and joined before this
-/// returns, in spawn order, with worker panics propagated.
+/// The accept loop runs on the calling thread and blocks in `accept`; a
+/// scoped waker thread polls the token every [`CTRL_POLL`] and, on
+/// cancel, connects to the listener to return that `accept` (see
+/// [`wake_on_cancel`]). The wake connection is dropped without being
+/// counted or dispatched. Workers block on the connection queue with
+/// `recv_timeout` and poll the same token. The waker and then the
+/// workers, in spawn order, are joined before this returns, with panics
+/// propagated.
 pub fn serve(
     listener: TcpListener,
     state: &ServeState,
@@ -268,7 +279,9 @@ pub fn serve(
             m.set(id, state.snapshot().meta().snapshot_version);
         }
     }
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
+    let wake_addr = loopback_if_unspecified(listener.local_addr()?);
+    let accepting = AtomicBool::new(true);
 
     let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(workers * 2);
     let conn_rx = Mutex::new(conn_rx);
@@ -283,10 +296,17 @@ pub fn serve(
             let conn_rx = &conn_rx;
             handles.push(scope.spawn(move || worker_loop(conn_rx, state, token, obs, metrics)));
         }
+        let accepting = &accepting;
+        let waker = scope.spawn(move || wake_on_cancel(wake_addr, token, accepting));
 
         while !token.is_cancelled() {
             match listener.accept() {
                 Ok((stream, _peer)) => {
+                    if token.is_cancelled() {
+                        // The waker's connection, or a client that lost
+                        // the race with cancel: neither is served.
+                        break;
+                    }
                     stats.connections += 1;
                     obs.count(metrics.connections, 1);
                     // Tiny frames dominate; don't batch them.
@@ -297,13 +317,15 @@ pub fn serve(
                         break;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(CTRL_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock
+                    ) => {}
                 Err(_) => {
-                    // Transient accept failure (e.g. a connection reset
-                    // before accept); stay up.
+                    // Accept failure (a connection reset before accept,
+                    // or out of descriptors); stay up, but do not spin
+                    // on an error that persists.
                     stats.errors += 1;
                     obs.count(metrics.errors, 1);
                     std::thread::sleep(CTRL_POLL);
@@ -311,8 +333,14 @@ pub fn serve(
             }
         }
 
-        // Drain: no new connections; workers finish in-flight requests,
-        // drop queued connections, and exit.
+        // The loop has stopped: release the waker, then drain. No new
+        // connections; workers finish in-flight requests, drop queued
+        // connections, and exit.
+        accepting.store(false, Ordering::Release);
+        waker.thread().unpark();
+        if let Err(payload) = waker.join() {
+            std::panic::resume_unwind(payload);
+        }
         drop(conn_tx);
         for handle in handles {
             match handle.join() {
@@ -329,6 +357,38 @@ pub fn serve(
     })?;
     obs.flush();
     Ok(stats)
+}
+
+/// Where the waker connects to reach a listener bound at `addr`: the
+/// address itself, or loopback when the listener is bound to every
+/// interface (`0.0.0.0` or `::`), which is no address to connect to.
+fn loopback_if_unspecified(addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => {
+            SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), addr.port())
+        }
+        IpAddr::V6(ip) if ip.is_unspecified() => {
+            SocketAddr::new(IpAddr::V6(Ipv6Addr::LOCALHOST), addr.port())
+        }
+        _ => addr,
+    }
+}
+
+/// The waker: poll `token` every [`CTRL_POLL`] (parked, as
+/// `txdb::ctrl::Watchdog` polls) until the accept loop clears
+/// `accepting`. Once the token trips, connect to the listener at `addr`
+/// so its blocked `accept` returns and the loop sees the cancel; a failed
+/// connect is retried at every poll until the loop reports that it has
+/// stopped.
+fn wake_on_cancel(addr: SocketAddr, token: &CancelToken, accepting: &AtomicBool) {
+    let mut woken = false;
+    while accepting.load(Ordering::Acquire) {
+        if !woken && token.is_cancelled() {
+            woken = TcpStream::connect_timeout(&addr, CTRL_POLL).is_ok();
+        }
+        // Parked, not asleep: the accept loop unparks for a prompt join.
+        std::thread::park_timeout(CTRL_POLL);
+    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -396,7 +456,7 @@ fn handle_connection(
             }
         }
         let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > MAX_FRAME {
+        if len == 0 || len > MAX_REQUEST {
             stats.errors += 1;
             obs.count(metrics.errors, 1);
             return;
@@ -574,7 +634,7 @@ pub fn request(stream: &mut TcpStream, tag: u8, body: &[u8]) -> io::Result<(bool
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
-    if len == 0 || len > MAX_FRAME {
+    if len == 0 || len > MAX_RESPONSE {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("response frame claims {len} bytes"),
@@ -585,4 +645,67 @@ pub fn request(stream: &mut TcpStream, tag: u8, body: &[u8]) -> io::Result<(bool
     let ok = payload[0] == b'+';
     let body = String::from_utf8_lossy(&payload[1..]).into_owned();
     Ok((ok, body))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Send one request to a stub server that reads it and writes
+    /// `response` raw; return what [`request`] made of the reply.
+    fn request_against_stub(tag: u8, response: &[u8]) -> io::Result<(bool, String)> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let (mut stream, _) = listener.accept().expect("stub accept");
+                let mut len_buf = [0u8; 4];
+                stream.read_exact(&mut len_buf).expect("stub read len");
+                let mut frame = vec![0u8; u32::from_le_bytes(len_buf) as usize];
+                stream.read_exact(&mut frame).expect("stub read frame");
+                // The client may refuse the frame and hang up mid-write.
+                let _ = stream.write_all(response);
+            });
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            request(&mut stream, tag, b"Ruffles")
+        })
+    }
+
+    #[test]
+    fn request_reads_responses_larger_than_the_request_cap() {
+        let body: Vec<u8> = b"rule line\n"
+            .iter()
+            .copied()
+            .cycle()
+            .take(2 << 20)
+            .collect();
+        assert!(body.len() > MAX_REQUEST as usize);
+        let mut response = (1 + body.len() as u32).to_le_bytes().to_vec();
+        response.push(b'+');
+        response.extend_from_slice(&body);
+
+        let (ok, got) = request_against_stub(TAG_QUERY, &response).expect("request");
+        assert!(ok);
+        assert_eq!(got.len(), body.len());
+        assert!(got.as_bytes() == body.as_slice());
+    }
+
+    #[test]
+    fn request_refuses_a_response_over_the_response_cap() {
+        let err = request_against_stub(TAG_PING, &(MAX_RESPONSE + 1).to_le_bytes())
+            .expect_err("oversize response");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn wake_address_of_an_unspecified_bind_is_loopback() {
+        let v4: SocketAddr = "0.0.0.0:4000".parse().expect("v4");
+        let v6: SocketAddr = "[::]:4000".parse().expect("v6");
+        let bound: SocketAddr = "127.0.0.1:4000".parse().expect("bound");
+        let lo4: SocketAddr = "127.0.0.1:4000".parse().expect("lo4");
+        let lo6: SocketAddr = "[::1]:4000".parse().expect("lo6");
+        assert_eq!(loopback_if_unspecified(v4), lo4);
+        assert_eq!(loopback_if_unspecified(v6), lo6);
+        assert_eq!(loopback_if_unspecified(bound), bound);
+    }
 }

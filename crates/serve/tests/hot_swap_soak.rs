@@ -6,8 +6,11 @@
 //! would match neither expected body and fail on the spot.
 //!
 //! Drain is pinned too: cancelling the token makes `serve` return, and
-//! since its workers are scoped threads joined before return, a returned
-//! `serve` *is* the zero-worker-threads assertion.
+//! since its waker and workers are scoped threads joined before return, a
+//! returned `serve` *is* the zero-leftover-threads assertion. The waker
+//! returns the blocked accept by connecting to the listener; the idle
+//! drain tests run it on a loopback and an unspecified bind and require
+//! that connection to stay out of the stats.
 
 use negassoc::{MinerConfig, NegativeMiner, RuleSetExport};
 use negassoc_apriori::MinSupport;
@@ -22,7 +25,7 @@ use negassoc_txdb::TransactionDbBuilder;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 4;
@@ -64,6 +67,25 @@ fn mined_export() -> (Taxonomy, RuleSetExport) {
     };
     let outcome = NegativeMiner::new(config).mine(&db, &tax).expect("mine");
     (tax.clone(), outcome.rule_export(&tax, 0.6, 0.3))
+}
+
+/// Cancel `token` and wait up to `limit` for the server to report on
+/// `done` that `serve` returned. Returns how long the drain took, or
+/// `None` when it overran: then the test connects to the listener on
+/// `port` itself, so a lost wake fails the test instead of hanging it.
+fn cancel_within(
+    token: &CancelToken,
+    done: &mpsc::Receiver<()>,
+    port: u16,
+    limit: Duration,
+) -> Option<Duration> {
+    let start = Instant::now();
+    token.cancel(CancelReason::UserInterrupt);
+    if done.recv_timeout(limit).is_ok() {
+        return Some(start.elapsed());
+    }
+    let _ = TcpStream::connect(("127.0.0.1", port));
+    None
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -130,9 +152,14 @@ fn hot_swap_soak_no_torn_reads_and_clean_drain() {
     let finished = AtomicUsize::new(0);
 
     let stats = std::thread::scope(|scope| {
+        let (done_tx, done_rx) = mpsc::channel();
         let server = {
             let (listener, state, token, obs) = (listener, &state, &token, &obs);
-            scope.spawn(move || serve(listener, state, 3, token, obs))
+            scope.spawn(move || {
+                let stats = serve(listener, state, 3, token, obs);
+                let _ = done_tx.send(());
+                stats
+            })
         };
 
         // Query clients: each holds one keep-alive connection and
@@ -220,16 +247,11 @@ fn hot_swap_soak_no_torn_reads_and_clean_drain() {
         assert_eq!(refused, SWAPS_OVER_TCP);
 
         // Drain: cancel and require serve() to return promptly. Its
-        // workers are scoped threads joined before return, so returning
-        // is the zero-leaked-workers guarantee.
-        let drain_start = Instant::now();
-        token.cancel(CancelReason::UserInterrupt);
+        // waker and workers are scoped threads joined before return, so
+        // returning is the zero-leaked-threads guarantee.
+        let drained = cancel_within(&token, &done_rx, addr.port(), Duration::from_secs(5));
         let stats = server.join().expect("server thread").expect("serve result");
-        assert!(
-            drain_start.elapsed() < Duration::from_secs(5),
-            "drain took {:?}",
-            drain_start.elapsed()
-        );
+        assert!(drained.is_some(), "serve still running 5 s after cancel");
         stats
     });
 
@@ -245,27 +267,47 @@ fn hot_swap_soak_no_torn_reads_and_clean_drain() {
     }
 }
 
-#[test]
-fn drain_with_no_clients_returns_promptly() {
+/// Cancel a server on `bind` that never saw a client: `serve` must
+/// return within 2 s, and the connection that wakes its blocked accept
+/// must not be counted.
+fn idle_drain_returns_promptly(bind: &str) {
     let (tax, export) = mined_export();
     let snap = Arc::new(Snapshot::from_export(&export, &tax, 1).expect("snap"));
     let state = ServeState::new(tax, snap).expect("state");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let listener = TcpListener::bind(bind).expect("bind");
+    let port = listener.local_addr().expect("addr").port();
     let token = CancelToken::new();
     let obs = Obs::disabled();
 
-    let elapsed = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
+        let (done_tx, done_rx) = mpsc::channel();
         let server = {
             let (state, token, obs) = (&state, &token, &obs);
-            scope.spawn(move || serve(listener, state, 2, token, obs))
+            scope.spawn(move || {
+                let stats = serve(listener, state, 2, token, obs);
+                let _ = done_tx.send(());
+                stats
+            })
         };
         std::thread::sleep(Duration::from_millis(50));
-        let start = Instant::now();
-        token.cancel(CancelReason::UserInterrupt);
+        let drained = cancel_within(&token, &done_rx, port, Duration::from_secs(2));
         let stats = server.join().expect("thread").expect("serve");
+        assert!(
+            drained.is_some(),
+            "{bind}: serve still running 2 s after cancel"
+        );
         assert_eq!(stats.requests, 0);
+        assert_eq!(stats.connections, 0, "the wake connection was counted");
         assert_eq!(stats.workers, 2);
-        start.elapsed()
     });
-    assert!(elapsed < Duration::from_secs(2), "drain took {elapsed:?}");
+}
+
+#[test]
+fn drain_with_no_clients_returns_promptly() {
+    idle_drain_returns_promptly("127.0.0.1:0");
+}
+
+#[test]
+fn drain_on_an_unspecified_bind_returns_promptly() {
+    idle_drain_returns_promptly("0.0.0.0:0");
 }

@@ -91,7 +91,7 @@ awk -v p="$opct" 'BEGIN { exit !(p < 2.0) }' \
   || { echo "bench: no-op-sink overhead ${opct}% >= 2% bar" >&2; exit 1; }
 echo "bench: observability overhead ${opct}% (< 2% bar)"
 
-echo "==> rule serving: basket-match throughput (scale $SCALE)"
+echo "==> rule serving: basket-match throughput and one-shot TCP latency (scale $SCALE)"
 ./target/release/paper serve --scale "$SCALE"
 
 echo "==> BENCH_serve.json"
@@ -111,6 +111,16 @@ qps="$(sed -n 's/.*"queries_per_sec": \([0-9.]*\).*/\1/p' BENCH_serve.json)"
 awk -v q="$qps" 'BEGIN { exit !(q >= 10000.0) }' \
   || { echo "bench: serving throughput ${qps} queries/sec < 10k bar" >&2; exit 1; }
 echo "bench: serving throughput ${qps} queries/sec (>= 10k bar)"
+# The one-shot bar: a connect-query-close round trip on loopback must
+# take under 5 ms at the median, a quarter of the 20 ms the accept loop
+# once slept between polls (the artifact's "before" holds that server's
+# figures).
+grep -E '^  "oneshot_p(50|99)_us"|"before"' BENCH_serve.json
+oneshot="$(sed -n 's/^  "oneshot_p50_us": \([0-9.]*\),$/\1/p' BENCH_serve.json)"
+[ -n "$oneshot" ] || { echo "bench: no oneshot_p50_us headline" >&2; exit 1; }
+awk -v u="$oneshot" 'BEGIN { exit !(u < 5000.0) }' \
+  || { echo "bench: one-shot p50 ${oneshot} us >= 5000 us bar" >&2; exit 1; }
+echo "bench: one-shot p50 ${oneshot} us (< 5000 us bar)"
 
 echo "==> negative-candidate generation: expectation-bounded enumeration (4,000 transactions)"
 # Fixed input whatever BENCH_SCALE says: the gates below pin its figures.

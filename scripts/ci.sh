@@ -234,8 +234,20 @@ diff "$SMOKE/oracle-v1.txt" "$SMOKE/served-v1.txt"
 "$NEGRULES" query --addr "$ADDR" --baskets "$SMOKE/baskets.txt" \
   --out "$SMOKE/served-v2.txt" > /dev/null
 diff "$SMOKE/oracle-v2.txt" "$SMOKE/served-v2.txt"
-# SIGINT is the server's normal shutdown: graceful drain, exit 0.
+# SIGINT is the server's normal shutdown: graceful drain, exit 0. The
+# drain is bounded: a server still alive 5 s after SIGINT lost its wake,
+# and a bare `wait` would hang CI on it.
 kill -INT "$SERVE_PID"
+for _ in $(seq 1 50); do
+  kill -0 "$SERVE_PID" 2> /dev/null || break
+  sleep 0.1
+done
+if kill -0 "$SERVE_PID" 2> /dev/null; then
+  echo "smoke: server still running 5 s after SIGINT" >&2
+  cat "$SMOKE/serve.out" >&2
+  kill -KILL "$SERVE_PID" 2> /dev/null || true
+  exit 1
+fi
 set +e
 wait "$SERVE_PID"
 rc=$?
